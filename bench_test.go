@@ -235,21 +235,6 @@ func BenchmarkOverhead_RegionEntry(b *testing.B) {
 	}
 }
 
-// BenchmarkOverhead_RegionEntryUngated is the region-entry ablation
-// baseline without per-advice gates (pre-gate chains): the delta against
-// BenchmarkOverhead_RegionEntry is the cost of the one atomic load + branch
-// each gated stage pays.
-func BenchmarkOverhead_RegionEntryUngated(b *testing.B) {
-	p := aomplib.NewProgram("bench", aomplib.Ungated())
-	f := p.Class("A").Proc("m", func() {})
-	p.Use(aomplib.ParallelRegion("call(* A.m(..))").Threads(threads()))
-	p.MustWeave()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f()
-	}
-}
-
 // BenchmarkOverhead_RegionEntryDisabled measures the same entry with the
 // region advice gated off: the chain collapses to the direct body, so the
 // cost must match an unadvised method — reconfiguration without unweaving.
@@ -264,42 +249,6 @@ func BenchmarkOverhead_RegionEntryDisabled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f()
-	}
-}
-
-// BenchmarkOverhead_RegionEntryStatic measures the statically woven entry
-// emitted by cmd/weavegen (staticweave_gen_test.go): no chain load, no
-// gate checks, frozen advice composition. The ablation expectation —
-// static ≤ gated dynamic ≤ ungated+gate — is recorded in DESIGN.md §14.
-func BenchmarkOverhead_RegionEntryStatic(b *testing.B) {
-	p := newStaticBenchProgram(threads())
-	e, err := bindStaticBench(p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.M()
-	}
-}
-
-// TestStaticBenchBind keeps the generated static demo exercised by plain
-// go test runs: binding succeeds against a freshly built program, the
-// unadvised method resolves to the direct body, and a reconfigured
-// program is rejected.
-func TestStaticBenchBind(t *testing.T) {
-	p := newStaticBenchProgram(2)
-	e, err := bindStaticBench(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e.M()
-	e.Plain()
-	if err := p.SetAdviceEnabled("ParallelRegion", false); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := bindStaticBench(p); err == nil {
-		t.Fatal("bindStaticBench accepted a drifted configuration")
 	}
 }
 

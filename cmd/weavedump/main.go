@@ -19,6 +19,8 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
+	"slices"
 	"strings"
 
 	"aomplib/internal/jgf/crypt"
@@ -42,12 +44,6 @@ func main() {
 	only := flag.String("only", "", "comma-separated benchmark filter")
 	explain := flag.Bool("explain", false, "show the pointcut that matched each joinpoint")
 	flag.Parse()
-	filter := map[string]bool{}
-	for _, f := range strings.Split(*only, ",") {
-		if f = strings.TrimSpace(strings.ToLower(f)); f != "" {
-			filter[f] = true
-		}
-	}
 
 	benchmarks := []struct {
 		name string
@@ -61,6 +57,15 @@ func main() {
 		{"MolDyn", moldyn.NewAomp(moldyn.SizeTest, 2, moldyn.ThreadLocalStrategy).(weaveReporter)},
 		{"MonteCarlo", montecarlo.NewAomp(montecarlo.SizeTest, 2).(weaveReporter)},
 		{"RayTracer", raytracer.NewAomp(raytracer.SizeTest, 2).(weaveReporter)},
+	}
+	names := make([]string, len(benchmarks))
+	for i, b := range benchmarks {
+		names[i] = b.name
+	}
+	filter, err := parseOnly(*only, names)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "weavedump: %v\n", err)
+		os.Exit(2)
 	}
 	for _, b := range benchmarks {
 		if len(filter) > 0 && !filter[strings.ToLower(b.name)] {
@@ -92,4 +97,26 @@ func main() {
 		}
 		fmt.Println()
 	}
+}
+
+// parseOnly validates the -only filter against the benchmark names
+// (case-insensitive); an unknown name is an error listing the valid ones,
+// not a silent empty dump. An empty filter selects every benchmark.
+func parseOnly(s string, names []string) (map[string]bool, error) {
+	valid := make([]string, len(names))
+	for i, n := range names {
+		valid[i] = strings.ToLower(n)
+	}
+	filter := map[string]bool{}
+	for _, f := range strings.Split(s, ",") {
+		f = strings.TrimSpace(strings.ToLower(f))
+		if f == "" {
+			continue
+		}
+		if !slices.Contains(valid, f) {
+			return nil, fmt.Errorf("unknown benchmark %q in -only (valid: %s)", f, strings.Join(valid, ", "))
+		}
+		filter[f] = true
+	}
+	return filter, nil
 }

@@ -148,7 +148,7 @@ func (a *ForAspect) Bindings() []weaver.Binding {
 				weaver.PutCall(sc)
 				fc.EndFor()
 				if a.implicitBarrier(k) {
-					w.Team.Barrier().WaitWorker(w)
+					w.Team.Barrier().Wait()
 				}
 			}
 		},

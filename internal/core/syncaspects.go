@@ -57,11 +57,11 @@ func (a *BarrierAspect) Bindings() []weaver.Binding {
 					return
 				}
 				if a.before {
-					c.Worker.Team.Barrier().WaitWorker(c.Worker)
+					c.Worker.Team.Barrier().Wait()
 				}
 				next(c)
 				if a.after {
-					c.Worker.Team.Barrier().WaitWorker(c.Worker)
+					c.Worker.Team.Barrier().Wait()
 				}
 			}
 		},

@@ -207,14 +207,14 @@ func (a *ReduceAspect) Bindings() []weaver.Binding {
 					next(c)
 					return
 				}
-				w.Team.Barrier().WaitWorker(w) // all producers done
+				w.Team.Barrier().Wait() // all producers done
 				if w.ID == 0 {
 					for _, v := range a.tl.Drain(w.Team) {
 						a.merge(v)
 					}
 				}
-				w.TLSDelete(a.tl)              // next access re-initialises
-				w.Team.Barrier().WaitWorker(w) // merged value visible
+				w.TLSDelete(a.tl)       // next access re-initialises
+				w.Team.Barrier().Wait() // merged value visible
 				next(c)
 			}
 		},

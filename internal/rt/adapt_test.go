@@ -321,6 +321,9 @@ func TestHotTeamAdaptiveChurnStress(t *testing.T) {
 func TestAsymSpinDelay(t *testing.T) {
 	SetAsymSpin([]int{0, 40})
 	defer SetAsymSpin(nil)
+	// AsymDelay is deterministic, so an earlier run (-count>1) leaves the
+	// very value the configured spin below would store; reset it first.
+	asymSink.Store(0)
 	before := asymSink.Load()
 	AsymDelay(0, 100) // configured 0 spins: no-op
 	AsymDelay(2, 100) // beyond the table: no-op

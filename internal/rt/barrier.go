@@ -15,18 +15,15 @@ import (
 // between generations (all waits paired), so no reset is needed at lease
 // boundaries.
 //
-// Arrivals are counted on a fan-in tree of cache-line-padded atomic
-// counters instead of a mutex: workers of the owning team arrive at the
-// leaf covering their id, the last arriver of each leaf group propagates
-// one batched count to the root, and the last root arriver publishes the
-// next generation — so a phase costs each worker one or two uncontended
-// RMWs instead of a serialised lock acquisition. Waiters spin on the
-// generation word for an adaptively bounded interval (sized by where
-// recent phases were observed to complete) and park on a condition
-// variable only when a phase overruns it, so short compute phases never
-// pay a scheduler round trip and long ones never burn a core.
+// Arrivals are counted on one cache-line-padded atomic counter instead of
+// a mutex: each arriver pays one RMW, and the last arriver of a phase
+// publishes the next generation. Waiters spin on the generation word for
+// an adaptively bounded interval (sized by where recent phases were
+// observed to complete) and park on a condition variable only when a
+// phase overruns it, so short compute phases never pay a scheduler round
+// trip and long ones never burn a core.
 //
-// The counters are monotonic and the release check is modular, so no
+// The arrival counter is monotonic and the release check is modular, so no
 // per-generation reset exists to race with the next phase's arrivals, and
 // the generation counter wraps around uint64 without disturbing arrival
 // accounting.
@@ -42,15 +39,11 @@ type Barrier struct {
 	gen atomic.Uint64
 	_   [56]byte
 
-	// Arrival tree. leaves[i] counts arrivals of worker ids
-	// [i*barrierFanIn, (i+1)*barrierFanIn); quota[i] is that group's width.
-	// nil when parties <= barrierFanIn — arrivals then go straight to the
-	// root, which always counts in units of parties per generation.
-	// Arrivals without a worker id (standalone barriers, goroutines outside
-	// the owning team) also count directly on the root, one unit each.
-	leaves []barrierNode
-	quota  []int64
-	root   barrierNode
+	// arrived counts every arrival ever made; a generation completes each
+	// time it reaches a multiple of parties. Padded so the spin bound
+	// below does not share its line.
+	arrived atomic.Int64
+	_       [56]byte
 
 	// spin is the adaptive spin bound in loop iterations, resized toward
 	// twice the iteration recent releases were observed at and halved on
@@ -65,23 +58,11 @@ type Barrier struct {
 	cond   *sync.Cond
 
 	// owner is the team the barrier synchronises, set by newTeam; nil for
-	// standalone barriers. Worker-id arrival routing and observability
-	// read it.
+	// standalone barriers. Observability reads it.
 	owner *Team
 }
 
-// barrierNode is one fan-in counter, padded to a cache line so sibling
-// groups do not false-share.
-type barrierNode struct {
-	count atomic.Int64
-	_     [56]byte
-}
-
 const (
-	// barrierFanIn is the arrival-tree arity: up to this many workers
-	// share one leaf counter.
-	barrierFanIn = 4
-
 	barrierSpinMin  = 64      // never spin less: a release often lands within nanoseconds
 	barrierSpinMax  = 1 << 15 // never spin more: beyond ~tens of µs, parking is cheaper
 	barrierSpinInit = 1 << 10
@@ -107,18 +88,6 @@ func NewBarrier(parties int) *Barrier {
 	b := &Barrier{parties: parties}
 	b.cond = sync.NewCond(&b.mu)
 	b.spin.Store(barrierSpinInit)
-	if parties > barrierFanIn {
-		groups := (parties + barrierFanIn - 1) / barrierFanIn
-		b.leaves = make([]barrierNode, groups)
-		b.quota = make([]int64, groups)
-		for g := range b.quota {
-			width := parties - g*barrierFanIn
-			if width > barrierFanIn {
-				width = barrierFanIn
-			}
-			b.quota[g] = int64(width)
-		}
-	}
 	return b
 }
 
@@ -126,61 +95,31 @@ func NewBarrier(parties int) *Barrier {
 // current generation. The last arriver releases everyone and the barrier
 // implicitly resets for the next phase. Returns the generation index that
 // completed, which is useful for tests and phase-counting diagnostics.
+// Any `parties` arrivals complete a generation, whichever goroutines make
+// them.
 //
-// When the calling goroutine carries a worker context of the barrier's
-// owning team, the arrival is routed through that worker's leaf of the
-// fan-in tree; any other caller arrives anonymously at the root. On
-// standalone barriers (NewBarrier — no owning team, so every arrival is
-// anonymous) any `parties` arrivals complete a generation, exactly as
-// before. On a *team* barrier wide enough to have a tree (parties >
-// fan-in), each team worker must arrive through its own worker context:
-// an anonymous arrival standing in for an absent worker leaves that
-// worker's leaf short of quota and the phase never completes. Arriving
-// at a team barrier from outside the team was already undefined under
-// the work-sharing contract (see Team.beginLease); this makes the one
-// previously-accidental shape of it — substituted arrivals — explicitly
-// unsupported.
-func (b *Barrier) Wait() uint64 {
-	return b.waitTimed(b.slotOf(Current()))
-}
-
-// WaitWorker is Wait for call sites that already hold the worker context
-// (the woven constructs), skipping the goroutine-local lookup.
-func (b *Barrier) WaitWorker(w *Worker) uint64 {
-	return b.waitTimed(b.slotOf(w))
-}
-
-// slotOf maps a worker to its arrival id, or -1 for anonymous arrivals.
-func (b *Barrier) slotOf(w *Worker) int {
-	if w != nil && w.Team != nil && w.Team.barrier == b {
-		return w.ID
-	}
-	return -1
-}
-
-// waitTimed wraps the wait with the instrumented arrival: the depart event
+// With a tool installed the arrival is instrumented: the depart event
 // carries the nanoseconds this caller spent blocked, which the trace
-// renders as a wait slice. The worker lookup and clock reads run only with
-// a tool installed.
-func (b *Barrier) waitTimed(id int) uint64 {
+// renders as a wait slice. The clock reads run only then.
+func (b *Barrier) Wait() uint64 {
 	if h := obsHooks(); h != nil {
 		gid := curGID()
 		if h.BarrierArrive != nil {
 			h.BarrierArrive(gid, b.ownerID())
 		}
 		t0 := time.Now()
-		gen := b.wait(id)
+		gen := b.wait()
 		if h.BarrierDepart != nil {
 			h.BarrierDepart(gid, b.ownerID(), time.Since(t0).Nanoseconds())
 		}
 		return gen
 	}
-	return b.wait(id)
+	return b.wait()
 }
 
-func (b *Barrier) wait(id int) uint64 {
+func (b *Barrier) wait() uint64 {
 	g := b.gen.Load()
-	if b.arrive(id) {
+	if b.arrive() {
 		b.release()
 	} else {
 		b.await(g)
@@ -189,22 +128,12 @@ func (b *Barrier) wait(id int) uint64 {
 }
 
 // arrive counts one arrival, reporting whether the caller completed the
-// generation (and must release). Worker arrivals (id ≥ 0) climb the tree:
-// the group's last arriver forwards the whole group count to the root in
-// one add. All counters are monotonic; modular checks detect the last
-// arrival, so generations need no reset and arrivals for the next phase —
-// which cannot start before this release — reuse the same counters.
-func (b *Barrier) arrive(id int) bool {
-	add := int64(1)
-	if id >= 0 && b.leaves != nil {
-		leaf := id / barrierFanIn
-		q := b.quota[leaf]
-		if b.leaves[leaf].count.Add(1)%q != 0 {
-			return false
-		}
-		add = q
-	}
-	return b.root.count.Add(add)%int64(b.parties) == 0
+// generation (and must release). The counter is monotonic and a modular
+// check detects the last arrival, so generations need no reset and
+// arrivals for the next phase — which cannot start before this release —
+// reuse the same counter.
+func (b *Barrier) arrive() bool {
+	return b.arrived.Add(1)%int64(b.parties) == 0
 }
 
 // release publishes the next generation and wakes parked waiters. The

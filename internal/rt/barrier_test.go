@@ -82,19 +82,16 @@ func TestBarrierParkPath(t *testing.T) {
 	wg.Wait()
 }
 
-// TestBarrierTreeRouting drives a barrier wide enough to have a real
-// arrival tree (parties > fan-in) from team workers, so leaf propagation
-// — not the anonymous root path — carries the phases.
-func TestBarrierTreeRouting(t *testing.T) {
-	const n, phases = barrierFanIn*3 + 1, 25
+// TestBarrierWideTeam drives a barrier from a team much wider than the
+// common 2-8 workers, so every phase needs many arrivals on the one
+// counter before the release.
+func TestBarrierWideTeam(t *testing.T) {
+	const n, phases = 13, 25
 	done := make([]atomic.Int32, phases)
 	Region(n, func(w *Worker) {
-		if w.Team.Barrier().leaves == nil {
-			t.Errorf("no arrival tree for %d parties", n)
-		}
 		for p := 0; p < phases; p++ {
 			done[p].Add(1)
-			w.Team.Barrier().WaitWorker(w)
+			w.Team.Barrier().Wait()
 			if got := done[p].Load(); got != n {
 				t.Errorf("phase %d: %d arrivals visible after barrier", p, got)
 			}
@@ -137,7 +134,7 @@ func TestBarrierHotTeamLeaseRetireRace(t *testing.T) {
 			}()
 			Region(4, func(w *Worker) {
 				for p := 0; p < 3; p++ {
-					w.Team.Barrier().WaitWorker(w)
+					w.Team.Barrier().Wait()
 				}
 				// Panic only after every barrier phase paired, so the
 				// remaining workers are never stranded at one; the team is

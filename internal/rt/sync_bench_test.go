@@ -15,14 +15,13 @@ import (
 // the build on regressions.
 
 // benchBarrierPhase measures one full barrier round trip across `workers`
-// parties, every party being a real team worker (so arrivals ride the
-// fan-in tree, not the anonymous root path).
+// parties, every party being a real team worker.
 func benchBarrierPhase(b *testing.B, workers int) {
 	b.ReportAllocs()
 	Region(workers, func(w *Worker) {
 		bar := w.Team.Barrier()
 		for i := 0; i < b.N; i++ {
-			bar.WaitWorker(w)
+			bar.Wait()
 		}
 	})
 }
@@ -34,7 +33,7 @@ func BenchmarkBarrierPhase(b *testing.B) {
 }
 
 // condBarrier is the pre-refactor mutex+cond team barrier, kept here as
-// the measured baseline the tree barrier's ≥2x claim is made against.
+// the measured baseline for the atomic-counter barrier.
 type condBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

@@ -143,15 +143,6 @@ func TestAspectWideDisableStickyForLaterWeaves(t *testing.T) {
 }
 
 func TestSetAdviceEnabledErrors(t *testing.T) {
-	p := NewProgram("test", Ungated())
-	p.Class("A").Proc("m", func() {})
-	if err := p.SetAdviceEnabled("asp", false); err == nil {
-		t.Fatal("ungated program accepted SetAdviceEnabled")
-	}
-	if !p.AdviceEnabled("asp", "A.m") {
-		t.Fatal("ungated program must report advice enabled")
-	}
-
 	q := NewProgram("test2")
 	q.Class("A").Proc("m", func() {})
 	q.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
@@ -169,24 +160,6 @@ func TestSetAdviceEnabledErrors(t *testing.T) {
 	}
 	if !q.AdviceEnabled("asp", "A.m") {
 		t.Fatal("failed toggle flipped a gate")
-	}
-}
-
-func TestUngatedChainsHaveNoGates(t *testing.T) {
-	p := NewProgram("test", Ungated())
-	var adv atomic.Int32
-	m := p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-	m()
-	if adv.Load() != 1 {
-		t.Fatal("ungated weave broken")
-	}
-	for _, ad := range p.Method("A.m").current.Load().applied {
-		if ad.gate != nil {
-			t.Fatal("ungated program composed a gated stage")
-		}
 	}
 }
 
@@ -335,88 +308,6 @@ func TestReportDetails(t *testing.T) {
 	}
 }
 
-func TestPlanVerifyAndFrozenHandler(t *testing.T) {
-	p := NewProgram("test")
-	var adv atomic.Int32
-	p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-
-	plan := p.Plan()
-	if err := p.VerifyPlan(plan); err != nil {
-		t.Fatalf("fresh plan failed verification: %v", err)
-	}
-	h, ok := p.FrozenHandler("A.m")
-	if !ok {
-		t.Fatal("FrozenHandler: method missing")
-	}
-	c := GetCall()
-	c.JP = p.Method("A.m").jp
-	h(c)
-	PutCall(c)
-	if adv.Load() != 1 {
-		t.Fatal("frozen handler skipped enabled advice")
-	}
-
-	// The frozen handler must be immune to later toggles ...
-	if err := p.SetAdviceEnabled("asp", false); err != nil {
-		t.Fatal(err)
-	}
-	c = GetCall()
-	c.JP = p.Method("A.m").jp
-	h(c)
-	PutCall(c)
-	if adv.Load() != 2 {
-		t.Fatal("frozen handler observed a toggle")
-	}
-	// ... and the drift must be caught by VerifyPlan.
-	if err := p.VerifyPlan(plan); err == nil {
-		t.Fatal("VerifyPlan missed a gate toggle")
-	}
-
-	if _, ok := p.FrozenHandler("A.nope"); ok {
-		t.Fatal("FrozenHandler invented a method")
-	}
-	if err := p.VerifyPlan(StaticPlan{Program: "other"}); err == nil {
-		t.Fatal("VerifyPlan accepted a foreign program")
-	}
-}
-
-// FrozenHandler over a disabled advice must compose without it.
-func TestFrozenHandlerSkipsDisabledAdvice(t *testing.T) {
-	p := NewProgram("test")
-	var adv atomic.Int32
-	p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", countAdvice("count", 1, &adv))}})
-	p.MustWeave()
-	if err := p.SetAdviceEnabled("asp", false); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := p.FrozenHandler("A.m")
-	c := GetCall()
-	h(c)
-	PutCall(c)
-	if adv.Load() != 0 {
-		t.Fatal("frozen handler composed a disabled advice")
-	}
-}
-
-func TestBodyFunc(t *testing.T) {
-	p := NewProgram("test")
-	var ran bool
-	p.Class("A").ForProc("loop", func(lo, hi, step int) { ran = true })
-	body, ok := p.Method("A.loop").BodyFunc().(func(lo, hi, step int))
-	if !ok {
-		t.Fatalf("BodyFunc type = %T", p.Method("A.loop").BodyFunc())
-	}
-	body(0, 1, 1)
-	if !ran {
-		t.Fatal("BodyFunc did not invoke the registered body")
-	}
-}
-
 // Toggling while calls are in flight must be race-clean and every call
 // must run the body exactly once (enabled or not).
 func TestToggleWhileCallsInFlight(t *testing.T) {
@@ -482,19 +373,6 @@ func BenchmarkWovenCallDisabledAdvice(b *testing.B) {
 	if err := p.SetAdviceEnabled("asp", false); err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m()
-	}
-}
-
-func BenchmarkWovenCallUngatedChain(b *testing.B) {
-	p := NewProgram("bench", Ungated())
-	m := p.Class("A").Proc("m", func() {})
-	p.Use(&SimpleAspect{Name: "asp", Bind: []Binding{
-		bind("call(* A.m(..))", passAdvice("pass", 1, false))}})
-	p.MustWeave()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

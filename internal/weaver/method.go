@@ -70,7 +70,7 @@ type appliedAdvice struct {
 	// pointcut is the source form of the matcher that selected the
 	// joinpoint, surfaced by Report for -explain tooling.
 	pointcut string
-	// gate is the advice's enable word; nil on ungated programs.
+	// gate is the advice's enable word.
 	gate *gate
 }
 
@@ -79,18 +79,11 @@ type appliedAdvice struct {
 type Method struct {
 	jp      *Joinpoint
 	body    HandlerFunc
-	rawBody any
 	current atomic.Pointer[chain]
 }
 
 // JP returns the method's joinpoint.
 func (m *Method) JP() *Joinpoint { return m.jp }
-
-// BodyFunc returns the original function the method was registered with
-// (e.g. a func(lo, hi, step int) for ForKind). The static-weave backend
-// (cmd/weavegen) uses it to call unadvised bodies directly, with no Call
-// reification and no chain load.
-func (m *Method) BodyFunc() any { return m.rawBody }
 
 func (m *Method) invoke(c *Call) {
 	ch := m.current.Load()
@@ -108,7 +101,7 @@ func (m *Method) reset() {
 // returned function replaces direct calls to body in the base program —
 // the analogue of AspectJ rewriting call sites (paper Fig. 12).
 func (c *Class) Proc(name string, body func()) func() {
-	m := c.register(name, ProcKind, func(*Call) { body() }, body)
+	m := c.register(name, ProcKind, func(*Call) { body() })
 	return func() {
 		call := GetCall()
 		call.JP = m.jp
@@ -121,7 +114,7 @@ func (c *Class) Proc(name string, body func()) func() {
 // space is exposed in the first three int parameters so pluggable aspects
 // can rewrite the range.
 func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, step int) {
-	m := c.register(name, ForKind, func(call *Call) { body(call.Lo, call.Hi, call.Step) }, body)
+	m := c.register(name, ForKind, func(call *Call) { body(call.Lo, call.Hi, call.Step) })
 	return func(lo, hi, step int) {
 		call := GetCall()
 		call.JP, call.Lo, call.Hi, call.Step = m.jp, lo, hi, step
@@ -132,7 +125,7 @@ func (c *Class) ForProc(name string, body func(lo, hi, step int)) func(lo, hi, s
 
 // KeyedProc registers a method exposing a single int key.
 func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
-	m := c.register(name, KeyedKind, func(call *Call) { body(call.Key) }, body)
+	m := c.register(name, KeyedKind, func(call *Call) { body(call.Key) })
 	return func(key int) {
 		call := GetCall()
 		call.JP, call.Key = m.jp, key
@@ -145,7 +138,7 @@ func (c *Class) KeyedProc(name string, body func(key int)) func(key int) {
 // @Single/@Master the value is broadcast to the team; sequentially it is
 // simply the body's result.
 func (c *Class) ValueProc(name string, body func() any) func() any {
-	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
+	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() })
 	return func() any {
 		call := GetCall()
 		call.JP = m.jp
@@ -162,7 +155,7 @@ func (c *Class) ValueProc(name string, body func() any) func() any {
 // the body runs asynchronously and the future's getter is the
 // synchronisation point (@FutureResult).
 func (c *Class) FutureProc(name string, body func() any) func() *rt.Future {
-	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() }, body)
+	m := c.register(name, ValueKind, func(call *Call) { call.Ret = body() })
 	return func() *rt.Future {
 		call := GetCall()
 		call.JP = m.jp

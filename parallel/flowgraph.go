@@ -84,7 +84,7 @@ func (g *FlowGraph) Run(opts ...Opt) error {
 			if w.ID == 0 {
 				g.spawnAll(order)
 			}
-			w.Team.Barrier().WaitWorker(w)
+			w.Team.Barrier().Wait()
 		})
 	}
 	if g.panicVal != nil {

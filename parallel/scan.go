@@ -96,11 +96,11 @@ func scanBody[T any](w *rt.Worker, arg any) {
 	e := arg.(*scanEntry[T])
 	cs := sched.Space{Lo: 0, Hi: len(e.sums), Step: 1}
 	rt.ForSpan(w, cs, e.kind, e.keySum, 1, e.spanSum, arg)
-	w.Team.Barrier().WaitWorker(w)
+	w.Team.Barrier().Wait()
 	if w.ID == 0 {
 		scanOffsets(e)
 	}
-	w.Team.Barrier().WaitWorker(w)
+	w.Team.Barrier().Wait()
 	rt.ForSpan(w, cs, e.kind, e.keyApply, 1, e.spanApply, arg)
 }
 

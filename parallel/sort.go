@@ -55,7 +55,7 @@ func Sort[T any](xs []T, less func(a, b T) bool, opts ...Opt) {
 		if w.ID == 0 {
 			rt.Spawn(func() { quickSort(xs, less, cutoff, depth) })
 		}
-		w.Team.Barrier().WaitWorker(w)
+		w.Team.Barrier().Wait()
 	})
 }
 
