@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestBarrierGenerationWraparound pins the overflow semantics of the
@@ -57,13 +58,15 @@ func TestBarrierGenerationWraparoundMultiParty(t *testing.T) {
 }
 
 // TestBarrierParkPath forces every waiter through the spin-exhausted park
-// path (spin bound clamps at the minimum, and the releaser is delayed by
-// the sheer party count) and checks phase pairing survives it. Run with
-// -race this doubles as the missed-wakeup check for the parked protocol.
+// path (the long spin is ruled out, the short spin bound clamps at the
+// minimum, and the releaser is delayed by the sheer party count) and
+// checks phase pairing survives it. Run with -race this doubles as the
+// missed-wakeup check for the parked protocol.
 func TestBarrierParkPath(t *testing.T) {
 	const n, phases = 8, 50
 	b := NewBarrier(n)
-	b.spin.Store(1) // spin budget too small to ever catch a release
+	b.fits = false  // never the long spin, whatever the phases carry
+	b.spin.Store(1) // short spin budget too small to ever catch a release
 	var before [phases]atomic.Int32
 	var wg sync.WaitGroup
 	for id := 0; id < n; id++ {
@@ -80,6 +83,52 @@ func TestBarrierParkPath(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// runPhases drives a 2-party barrier through phases, each party
+// busy-working for work before every arrival.
+func runPhases(b *Barrier, phases int, work time.Duration) {
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := 0; p < phases; p++ {
+				for t0 := time.Now(); time.Since(t0) < work; {
+				}
+				b.Wait()
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestBarrierLongSpinGate checks the phase clock's gate: phases that each
+// carry ~20 µs of work select the long spin within a few dozen phases,
+// and a zero-work loop does not. fits is forced on so the gate is tested
+// the same way whatever the host's CPU count.
+func TestBarrierLongSpinGate(t *testing.T) {
+	b := NewBarrier(2)
+	b.fits = true
+	runPhases(b, 48, 20*time.Microsecond)
+	if !b.longSpin() {
+		t.Fatalf("20 µs phases: long spin not selected (phase average %d ns)", b.phaseNs.Load())
+	}
+
+	// Zero-work phases take well under a microsecond, but one sample can
+	// catch a preemption and lift the average for a few samples; the gate
+	// must be off at the end of at least one of a few batches.
+	b = NewBarrier(2)
+	b.fits = true
+	for try := 0; ; try++ {
+		runPhases(b, 800, 0)
+		if !b.longSpin() {
+			break
+		}
+		if try == 4 {
+			t.Fatalf("zero-work phases: long spin selected (phase average %d ns)", b.phaseNs.Load())
+		}
+	}
 }
 
 // TestBarrierWideTeam drives a barrier from a team much wider than the

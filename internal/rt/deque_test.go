@@ -134,9 +134,13 @@ func TestTaskStolenBySiblingAtTaskWait(t *testing.T) {
 	}
 }
 
+// Worker 1 waits at a barrier (not a task scheduling point) until worker 0
+// has asserted; returning at once would let its region-end drain steal a
+// task from worker 0's deque and run it on a second goroutine.
 func TestFindTaskPrefersOwnDeque(t *testing.T) {
 	Region(2, func(w *Worker) {
 		if w.ID != 0 {
+			w.Team.Barrier().Wait()
 			return
 		}
 		var ran []string
@@ -145,7 +149,8 @@ func TestFindTaskPrefersOwnDeque(t *testing.T) {
 		// The spawner drains its own deque LIFO at the scheduling point.
 		TaskWait()
 		if len(ran) != 2 || ran[0] != "second" {
-			t.Fatalf("own-deque order = %v, want LIFO", ran)
+			t.Errorf("own-deque order = %v, want LIFO", ran)
 		}
+		w.Team.Barrier().Wait()
 	})
 }

@@ -14,11 +14,12 @@
 //     deques; idle workers steal. SpawnDep orders tasks by declared
 //     Deps (in/out/inout addresses) on the dependence tracker; task
 //     groups and futures provide the joining constructs.
-//   - Synchronisation. An atomic-counter barrier with adaptive
-//     spin-then-park, per-construct instance tracking (repeated
-//     work-sharing or single constructs inside one region stay matched
-//     across workers), and sharded named/per-object critical-lock
-//     registries.
+//   - Synchronisation. An atomic-counter barrier whose waiters spin
+//     for a fixed time budget before parking when recent phases carried
+//     work, and only a short adaptive spin when they did not;
+//     per-construct instance tracking (repeated work-sharing or single
+//     constructs inside one region stay matched across workers); and
+//     sharded named/per-object critical-lock registries.
 //   - Loop dispatch. ForSpan runs one worker's share of an iteration
 //     space under any sched.Kind — pure arithmetic for the static
 //     kinds, the shared chunk dispenser (with steal-based dispensing)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"aomplib/internal/sched"
 )
@@ -30,6 +31,25 @@ func BenchmarkBarrierPhase(b *testing.B) {
 	for _, w := range []int{2, 4, 8} {
 		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) { benchBarrierPhase(b, w) })
 	}
+}
+
+// benchBarrierWorkPhase is benchBarrierPhase with a fixed ~10 µs of busy
+// work per worker before every arrival: phases that carry work, where
+// waiters should catch the release spinning instead of parking.
+func benchBarrierWorkPhase(b *testing.B, workers int) {
+	b.ReportAllocs()
+	Region(workers, func(w *Worker) {
+		bar := w.Team.Barrier()
+		for i := 0; i < b.N; i++ {
+			for t0 := time.Now(); time.Since(t0) < 10*time.Microsecond; {
+			}
+			bar.Wait()
+		}
+	})
+}
+
+func BenchmarkBarrierWorkPhase(b *testing.B) {
+	b.Run("w=2", func(b *testing.B) { benchBarrierWorkPhase(b, 2) })
 }
 
 // condBarrier is the pre-refactor mutex+cond team barrier, kept here as
