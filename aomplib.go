@@ -507,11 +507,12 @@ type TenantAdmissionStats = rt.TenantAdmissionStats
 // EnableTracing installs (or uninstalls) the built-in runtime tracer — an
 // OMPT-style tool the runtime reports region forks, hot-team leases, task
 // lifecycles, steals, barrier waits and dependence releases into — and
-// returns whether it was previously installed. Enabled, the aggregate
-// counters behind RuntimeStats accumulate; event buffering for timeline
-// export additionally needs StartTrace. Disabled (the default), every
-// emit point costs one atomic load and a predicted branch, so the
-// allocation-free hot paths are unchanged.
+// returns whether it was previously installed. The tracer records events
+// only: it buffers them while StartTrace is recording and counts nothing
+// (counters live in the metrics registry; see EnableMetrics and
+// RuntimeStats). Disabled (the default), every emit point costs one
+// atomic load and a predicted branch, so the allocation-free hot paths
+// are unchanged.
 var EnableTracing = core.EnableTracing
 
 // TracingEnabled reports whether the built-in tracer is installed.
@@ -528,27 +529,30 @@ var StartTrace = core.StartTrace
 // flow arrows from task spawn (and dependence release) to task run.
 var StopTrace = core.StopTrace
 
-// RuntimeStats snapshots the runtime's observability counters: the
-// tracer's event statistics (steals, tasks spawned/inlined, barrier wait
-// nanoseconds, ...) plus the hot-team pool's lease counters and the
-// admission controller's queue state. The Events slice also carries the
-// ring-buffer accounting production monitors watch — RingDrops (events
-// shed cumulatively across traces), TraceRings (buffers allocated) and
-// WorkersFolded (workers sharing rings past the ring bound) — so a quiet
-// trace is distinguishable from one that silently dropped its events.
+// RuntimeStats snapshots the runtime as a view over its counter stores,
+// each event counted in exactly one: Metrics (the metrics registry —
+// region entries, barrier waits, tasks, steals, loop shares, latency
+// histograms; zero until EnableMetrics), Pool (hot-team lease counters),
+// Admission (queue state and per-tenant counters), and Events, the
+// tracer's ring accounting — EventsRecorded, EventsDropped, RingDrops
+// (events shed cumulatively across traces), TraceRings (buffers
+// allocated) and WorkersFolded (workers sharing rings past the ring
+// bound) — so a quiet trace is distinguishable from one that silently
+// dropped its events.
 var RuntimeStats = core.ReadRuntimeStats
 
-// RuntimeSnapshot is the aggregate returned by RuntimeStats.
+// RuntimeSnapshot is the view returned by RuntimeStats.
 type RuntimeSnapshot = core.RuntimeSnapshot
 
-// TraceStats is the tracer's counter snapshot (RuntimeSnapshot.Events).
+// TraceStats is the tracer's ring accounting (RuntimeSnapshot.Events).
 type TraceStats = obs.Stats
 
 // TraceHooks is the OMPT-style tool interface: one callback per runtime
-// event (region fork/join, team lease/retire, task lifecycle, steals,
-// barrier waits, dependence releases, spans). Nil entries are skipped;
-// callbacks run inline on the emitting goroutine and must not block,
-// allocate, or re-enter the runtime.
+// event (region fork/join, team lease/retire, admission outcomes, task
+// lifecycle, steals and steal scans, barrier waits, dependence releases,
+// work-sharing shares, spans). Nil entries are skipped; callbacks run
+// inline on the emitting goroutine and must not block, allocate, or
+// re-enter the runtime.
 type TraceHooks = obs.Hooks
 
 // TraceWorkerID identifies a worker in TraceHooks callbacks — a
@@ -563,7 +567,9 @@ type TraceTaskKind = obs.TaskKind
 
 // SetTraceHooks installs a custom tool's hook table (nil uninstalls),
 // returning the previous table — the OMPT analogue of registering a tool.
-// EnableTracing installs the built-in tracer through the same slot.
+// EnableTracing installs the built-in tracer through the same slot, so
+// the returned table may be the tracer's; passing it back restores
+// whichever occupied the slot (the /debug/aomp/trace capture does so).
 var SetTraceHooks = core.SetTraceHooks
 
 // TraceSpans builds a tracing aspect: matched methods become named spans

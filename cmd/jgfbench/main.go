@@ -191,12 +191,12 @@ type jsonResult struct {
 	Error     string  `json:"error,omitempty"`
 }
 
-// jsonSchedStats is the scheduling-mechanism slice of the runtime's
-// observability counters, included in the report when the run was traced
-// (-trace installs the counting hooks). It is what lets an asymmetry A/B
-// compare mechanisms, not just wall time: a weighted carve that works
-// shows up as fewer loop-range steals than the uniform carve under the
-// same throttle.
+// jsonSchedStats is the scheduling-mechanism slice of the metrics
+// registry's counters, included in the report when the run was traced
+// (-trace also enables the registry for the run). It is what lets an
+// asymmetry A/B compare mechanisms, not just wall time: a weighted carve
+// that works shows up as fewer loop-range steals than the uniform carve
+// under the same throttle.
 type jsonSchedStats struct {
 	StealAttempts uint64 `json:"steal_attempts"`
 	Steals        uint64 `json:"steals"`
@@ -304,15 +304,19 @@ func main() {
 	var schedStats *jsonSchedStats
 	if *tracePath != "" {
 		traced := func() {
+			// The counters come from the metrics registry, enabled for the
+			// traced run only; registry counters never reset, so the
+			// report is the run's delta.
+			prevMetrics := aomplib.EnableMetrics(true)
+			defer aomplib.EnableMetrics(prevMetrics)
+			before := aomplib.ReadMetrics()
 			runAll()
-			// Read inside the traced window: the counting hooks are
-			// installed only while tracing, and the next StartTrace resets.
-			ev := aomplib.RuntimeStats().Events
+			after := aomplib.ReadMetrics()
 			schedStats = &jsonSchedStats{
-				StealAttempts: ev.StealAttempts,
-				Steals:        ev.Steals,
-				StealProbes:   ev.StealProbes,
-				BarrierWaitNs: ev.BarrierWaitNs,
+				StealAttempts: after.StealAttempts - before.StealAttempts,
+				Steals:        after.Steals - before.Steals,
+				StealProbes:   after.StealProbes - before.StealProbes,
+				BarrierWaitNs: after.BarrierWait.SumNs - before.BarrierWait.SumNs,
 			}
 		}
 		if err := traceRun(*tracePath, traced); err != nil {

@@ -8,12 +8,14 @@ import (
 
 // traceRun executes run inside a recording runtime trace and writes the
 // timeline as Chrome trace-event JSON to path — the -trace flag's
-// implementation, shared with the trace-validity test. Tracing stays
-// enabled only for the run: the tracer is uninstalled afterwards so a
-// traced benchmark process ends in the same runtime state it started in.
+// implementation, shared with the trace-validity test. The tracer holds
+// the tool slot only for the run: the slot's previous occupant (nothing,
+// the tracer, or a custom SetTraceHooks table) is put back afterwards, so
+// a traced benchmark process ends in the same runtime state it started in.
 func traceRun(path string, run func()) error {
+	prev := aomplib.SetTraceHooks(nil)
+	defer aomplib.SetTraceHooks(prev)
 	aomplib.StartTrace()
-	defer aomplib.EnableTracing(false)
 	run()
 	f, err := os.Create(path)
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"aomplib"
 	"aomplib/internal/jgf/harness"
 	"aomplib/internal/jgf/series"
 	"aomplib/internal/jgf/sor"
@@ -182,5 +183,22 @@ func TestTraceTaskFlowArrows(t *testing.T) {
 	}
 	if tasks == 0 {
 		t.Fatal("no task slices in a dataflow trace")
+	}
+}
+
+// traceRun borrows the tool slot: a custom hook table installed before
+// the run must be installed again afterwards.
+func TestTraceRunRestoresCustomTool(t *testing.T) {
+	custom := &aomplib.TraceHooks{}
+	prev := aomplib.SetTraceHooks(custom)
+	defer aomplib.SetTraceHooks(prev)
+	if err := traceRun(filepath.Join(t.TempDir(), "out.json"), func() {}); err != nil {
+		t.Fatalf("traceRun: %v", err)
+	}
+	if got := aomplib.SetTraceHooks(custom); got != custom {
+		t.Fatalf("tool slot after traceRun holds %p, want the custom table %p", got, custom)
+	}
+	if aomplib.TracingEnabled() {
+		t.Fatal("traceRun left the built-in tracer installed")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"aomplib/internal/obs"
+	"aomplib/internal/rt"
 )
 
 // Production diagnostics: the always-on metrics registry, its Prometheus
@@ -24,9 +25,11 @@ import (
 // the previous setting. Enabled, every runtime emit point also feeds
 // cache-line-sharded counters and log-bucketed latency histograms —
 // region latency, barrier waits, admission queue waits, task
-// spawn-to-run latency, steals, per-schedule loop shares, per-tenant
-// admission outcomes — behind ReadMetrics and the /metrics endpoint. The
-// record path touches only preallocated padded atomics (0 allocs/op);
+// spawn-to-run latency, steals, per-schedule loop shares — behind
+// ReadMetrics and the /metrics endpoint. Per-tenant admission outcomes
+// are counted by the admission controller whether or not metrics are on,
+// and /metrics renders them from AdmissionStats. The record path touches
+// only preallocated padded atomics (0 allocs/op);
 // disabled (the default), emit points cost their usual one atomic load
 // and predicted branch. Metrics compose with the tracer, the flight
 // recorder and custom tools: enabling one never evicts another.
@@ -50,15 +53,13 @@ type MetricsHistogram = obs.HistogramSnapshot
 // MetricsHistogramBucket is one cumulative bucket of a MetricsHistogram.
 type MetricsHistogramBucket = obs.HistogramBucket
 
-// TenantMetrics is one tenant's admission counters in a MetricsSnapshot.
-type TenantMetrics = obs.TenantMetrics
-
 // ScheduleShareCount is one schedule kind's loop-share counter in a
 // MetricsSnapshot.
 type ScheduleShareCount = obs.ScheduleShareCount
 
-// WriteMetricsText renders the metrics registry as Prometheus text
-// exposition (content type "text/plain; version=0.0.4") — what the
+// WriteMetricsText renders the metrics registry, the per-tenant admission
+// counters and the pool, admission and trace-ring gauges as Prometheus
+// text exposition (content type "text/plain; version=0.0.4") — what the
 // /metrics endpoint serves, exposed directly for servers that register
 // runtime metrics with their own exposition plumbing.
 func WriteMetricsText(w io.Writer) error { return obs.WriteMetricsText(w, runtimeGauges()...) }
@@ -111,13 +112,18 @@ var WriteFlightSnapshot = obs.WriteFlightSnapshot
 // silently scrape zeros). Routes, relative to where the caller mounts it:
 //
 //	/metrics                Prometheus text exposition: the metrics
-//	                        registry plus live pool, admission and
-//	                        trace-ring gauges;
-//	/debug/aomp/stats       RuntimeStats() as JSON (tracer counters,
-//	                        pool, admission);
+//	                        registry, per-tenant admission counters,
+//	                        and live pool, admission and trace-ring
+//	                        gauges;
+//	/debug/aomp/stats       RuntimeStats() as one JSON object under
+//	                        "runtime" (metrics, pool, admission, ring
+//	                        accounting);
 //	/debug/aomp/trace?sec=N Chrome trace of the next N seconds
 //	                        (default 2, clamped to [0.1, 30]) — captures
-//	                        serialize, concurrent requests get 503;
+//	                        serialize, concurrent requests get 503, and
+//	                        the tool slot's previous occupant (the
+//	                        tracer or a SetTraceHooks table) is restored
+//	                        afterwards;
 //	/debug/aomp/flight      the flight recorder's Chrome trace snapshot
 //	                        (enable via EnableFlightRecorder).
 //
@@ -149,10 +155,11 @@ func ServeDiagnostics(addr string) (*http.Server, error) {
 }
 
 // runtimeGauges builds the exposition families whose truth lives outside
-// the metrics registry: pool occupancy, admission queue state, and
-// trace-ring accounting, sampled at scrape time.
+// the metrics registry — pool occupancy, admission queue state and
+// per-tenant counters, trace-ring accounting — read straight from their
+// stores at scrape time, so a scrape takes exactly one registry snapshot.
 func runtimeGauges() []obs.Family {
-	rs := RuntimeStats()
+	pool, adm, ev := rt.ReadPoolStats(), rt.ReadAdmissionStats(), obs.ReadStats()
 	gauge := func(name, help string, v float64) obs.Family {
 		return obs.Family{Name: "aomp_" + name, Help: help, Type: "gauge",
 			Samples: []obs.Sample{{Value: v}}}
@@ -161,18 +168,62 @@ func runtimeGauges() []obs.Family {
 		return obs.Family{Name: "aomp_" + name, Help: help, Type: "counter",
 			Samples: []obs.Sample{{Value: float64(v)}}}
 	}
-	return []obs.Family{
-		counter("pool_leases_total", "Team leases served by the hot-team pool machinery.", rs.Pool.Leases),
-		counter("pool_hits_total", "Leases served by a cached pool team.", rs.Pool.Hits),
-		gauge("pool_idle_teams", "Teams parked in the hot-team pool right now.", float64(rs.Pool.IdleTeams)),
-		gauge("pool_idle_workers", "Workers parked in the hot-team pool right now.", float64(rs.Pool.IdleWorkers)),
-		gauge("admission_queue_depth", "Admission waiters queued right now.", float64(rs.Admission.QueueDepth)),
-		gauge("admission_held_slots", "Admission lease slots granted right now.", float64(rs.Admission.Held)),
-		counter("admission_degraded_total", "Region entries that ran serialized without a lease.", rs.Admission.Degraded),
-		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", rs.Events.RingDrops),
-		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(rs.Events.TraceRings)),
-		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(rs.Events.WorkersFolded)),
+	return append([]obs.Family{
+		counter("pool_leases_total", "Team leases served by the hot-team pool machinery.", pool.Leases),
+		counter("pool_hits_total", "Leases served by a cached pool team.", pool.Hits),
+		gauge("pool_idle_teams", "Teams parked in the hot-team pool right now.", float64(pool.IdleTeams)),
+		gauge("pool_idle_workers", "Workers parked in the hot-team pool right now.", float64(pool.IdleWorkers)),
+		gauge("admission_queue_depth", "Admission waiters queued right now.", float64(adm.QueueDepth)),
+		gauge("admission_held_slots", "Admission lease slots granted right now.", float64(adm.Held)),
+		counter("admission_degraded_total", "Region entries that ran serialized without a lease.", adm.Degraded),
+		counter("trace_ring_drops_total", "Trace events dropped by full or draining ring buffers.", ev.RingDrops),
+		gauge("trace_rings", "Trace ring buffers allocated by the built-in tracer.", float64(ev.TraceRings)),
+		gauge("trace_workers_folded", "Workers folded onto shared trace rings (id beyond the ring bound).", float64(ev.WorkersFolded)),
+	}, tenantFamilies(adm.Tenants)...)
+}
+
+// maxTenantRows bounds the per-tenant exposition: tenants whose id is
+// below it get their own row, the rest fold onto tenant="_other", so a
+// server minting tenant names cannot grow the label set without bound.
+const maxTenantRows = 256
+
+// tenantFamilies renders the admission controller's per-tenant counters
+// as the aomp_tenant_* families. Tenants that never reached the
+// admission decision (no admit, queue entry or reject) have no row.
+func tenantFamilies(tenants []rt.TenantAdmissionStats) []obs.Family {
+	fams := []obs.Family{
+		{Name: "aomp_tenant_admits_total", Type: "counter",
+			Help: "Team leases granted per admission tenant."},
+		{Name: "aomp_tenant_queued_total", Type: "counter",
+			Help: "Region entries per tenant that joined the admission queue, including ones that later timed out."},
+		{Name: "aomp_tenant_rejects_total", Type: "counter",
+			Help: "Lease requests refused per tenant (policy, full queue, timeout)."},
+		{Name: "aomp_tenant_timeouts_total", Type: "counter",
+			Help: "Refusals per tenant due to a queue-wait timeout."},
 	}
+	add := func(name string, t rt.TenantAdmissionStats) {
+		lbl := []obs.Label{{Name: "tenant", Value: name}}
+		for i, v := range []uint64{t.Admitted, t.Queued, t.Rejected, t.TimedOut} {
+			fams[i].Samples = append(fams[i].Samples, obs.Sample{Labels: lbl, Value: float64(v)})
+		}
+	}
+	var other rt.TenantAdmissionStats
+	for _, t := range tenants {
+		switch {
+		case t.Admitted == 0 && t.Queued == 0 && t.Rejected == 0:
+		case t.ID < maxTenantRows:
+			add(t.Name, t)
+		default:
+			other.Admitted += t.Admitted
+			other.Queued += t.Queued
+			other.Rejected += t.Rejected
+			other.TimedOut += t.TimedOut
+		}
+	}
+	if other.Admitted != 0 || other.Queued != 0 || other.Rejected != 0 {
+		add("_other", other)
+	}
+	return fams
 }
 
 func serveMetrics(w http.ResponseWriter, r *http.Request) {
@@ -189,8 +240,7 @@ func serveStats(w http.ResponseWriter, r *http.Request) {
 	enc.SetIndent("", "  ")
 	enc.Encode(struct {
 		Runtime RuntimeSnapshot `json:"runtime"`
-		Metrics MetricsSnapshot `json:"metrics"`
-	}{RuntimeStats(), ReadMetrics()})
+	}{RuntimeStats()})
 }
 
 // traceMu serializes /debug/aomp/trace captures: StartTrace/StopTrace
@@ -220,10 +270,12 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	defer traceMu.Unlock()
 
-	// Capture restores the tracer's install state afterwards: a server
-	// that keeps the tracer off should not find it on because somebody
-	// curled a trace.
-	wasEnabled := TracingEnabled()
+	// The capture borrows the tool slot and puts its previous occupant
+	// back afterwards: a server that keeps the tracer off, or runs its own
+	// SetTraceHooks tool, should not find the slot changed because
+	// somebody curled a trace.
+	prev := SetTraceHooks(nil)
+	defer SetTraceHooks(prev)
 	StartTrace()
 	select {
 	case <-time.After(time.Duration(sec * float64(time.Second))):
@@ -232,9 +284,6 @@ func serveTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", `attachment; filename="aomp-trace.json"`)
 	StopTrace(w)
-	if !wasEnabled {
-		EnableTracing(false)
-	}
 }
 
 func serveFlight(w http.ResponseWriter, r *http.Request) {

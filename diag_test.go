@@ -2,11 +2,13 @@ package aomplib
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"aomplib/internal/obs"
@@ -68,8 +70,9 @@ func TestDiagnosticsMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// /debug/aomp/stats must serve the combined runtime + metrics snapshot as
-// JSON, including the new ring-accounting Stats fields.
+// /debug/aomp/stats must serve the RuntimeStats view as one JSON object:
+// the metrics registry, pool and admission snapshots and the tracer's
+// ring accounting, all under "runtime".
 func TestDiagnosticsStatsEndpoint(t *testing.T) {
 	srv := httptest.NewServer(Handler())
 	defer srv.Close()
@@ -87,8 +90,10 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 				TraceRings    *int    `json:"TraceRings"`
 				WorkersFolded *int    `json:"WorkersFolded"`
 			}
+			Metrics   map[string]any `json:"Metrics"`
+			Pool      map[string]any `json:"Pool"`
+			Admission map[string]any `json:"Admission"`
 		} `json:"runtime"`
-		Metrics map[string]any `json:"metrics"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&payload); err != nil {
 		t.Fatalf("stats is not valid JSON: %v", err)
@@ -97,8 +102,8 @@ func TestDiagnosticsStatsEndpoint(t *testing.T) {
 		payload.Runtime.Events.WorkersFolded == nil {
 		t.Fatal("stats JSON missing the ring-accounting fields")
 	}
-	if payload.Metrics == nil {
-		t.Fatal("stats JSON missing the metrics snapshot")
+	if payload.Runtime.Metrics == nil || payload.Runtime.Pool == nil || payload.Runtime.Admission == nil {
+		t.Fatal("stats JSON missing the metrics, pool or admission snapshot")
 	}
 }
 
@@ -135,6 +140,123 @@ func TestDiagnosticsTraceEndpoint(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != 400 {
 		t.Fatalf("bogus sec got status %d, want 400", resp.StatusCode)
+	}
+}
+
+// A trace capture borrows the tool slot: a custom table installed with
+// SetTraceHooks must still be installed, and still receive events, after
+// /debug/aomp/trace returns.
+func TestDiagnosticsTraceKeepsCustomTool(t *testing.T) {
+	srv := httptest.NewServer(Handler())
+	defer srv.Close()
+	defer EnableMetrics(false)
+
+	var forks atomic.Int64
+	custom := &TraceHooks{RegionFork: func(TraceWorkerID, uint64, int, int) { forks.Add(1) }}
+	prev := SetTraceHooks(custom)
+	defer SetTraceHooks(prev)
+
+	resp, err := srv.Client().Get(srv.URL + "/debug/aomp/trace?sec=0.1")
+	if err != nil {
+		t.Fatalf("GET trace: %v", err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("trace status %d", resp.StatusCode)
+	}
+	before := forks.Load()
+	rt.Region(2, func(w *rt.Worker) {})
+	if forks.Load() != before+1 {
+		t.Fatal("custom tool stopped receiving events after a trace capture")
+	}
+	if got := SetTraceHooks(custom); got != custom {
+		t.Fatalf("tool slot after a capture holds %p, want the custom table %p", got, custom)
+	}
+}
+
+// Per-tenant exposition rows come from the admission controller's own
+// counters, so tenants admitted before the metrics registry was enabled
+// must appear with exactly the counts AdmissionStats reports.
+func TestTenantRowsPredateMetrics(t *testing.T) {
+	prevM := EnableMetrics(false)
+	defer EnableMetrics(prevM)
+	prevAdm := SetAdmissionControl(true)
+	defer SetAdmissionControl(prevAdm)
+
+	for _, name := range []string{"early-tenant-a", "early-tenant-b"} {
+		tok := EnterTenant(name)
+		rt.Region(2, func(w *rt.Worker) {})
+		tok.Exit()
+	}
+	EnableMetrics(true)
+
+	var buf strings.Builder
+	if err := WriteMetricsText(&buf); err != nil {
+		t.Fatalf("WriteMetricsText: %v", err)
+	}
+	text := buf.String()
+	if err := obs.LintExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("exposition fails lint: %v\n%s", err, text)
+	}
+	rows := 0
+	for _, ts := range AdmissionStats().Tenants {
+		if ts.Name != "early-tenant-a" && ts.Name != "early-tenant-b" {
+			continue
+		}
+		rows++
+		if ts.Admitted == 0 {
+			t.Fatalf("tenant %s admitted nothing: %+v", ts.Name, ts)
+		}
+		for fam, v := range map[string]uint64{
+			"aomp_tenant_admits_total":   ts.Admitted,
+			"aomp_tenant_queued_total":   ts.Queued,
+			"aomp_tenant_rejects_total":  ts.Rejected,
+			"aomp_tenant_timeouts_total": ts.TimedOut,
+		} {
+			want := fmt.Sprintf("%s{tenant=%q} %d\n", fam, ts.Name, v)
+			if !strings.Contains(text, want) {
+				t.Fatalf("exposition missing %q:\n%s", want, text)
+			}
+		}
+	}
+	if rows != 2 {
+		t.Fatalf("AdmissionStats has %d of the 2 early tenants", rows)
+	}
+}
+
+// Tenant ids at or beyond the row bound must fold onto the "_other" row
+// of every aomp_tenant_* family, and the result must stay lint-clean.
+func TestTenantOverflowRow(t *testing.T) {
+	fams := tenantFamilies([]rt.TenantAdmissionStats{
+		{Name: "t3", ID: 3, Admitted: 1},
+		{Name: "idle", ID: 4},
+		{Name: "far-1", ID: maxTenantRows + 7, Admitted: 1, Queued: 1},
+		{Name: "far-2", ID: maxTenantRows + 900, Admitted: 1, Rejected: 2, TimedOut: 1},
+	})
+	var buf strings.Builder
+	if err := obs.WriteMetricsText(&buf, fams...); err != nil {
+		t.Fatalf("WriteMetricsText: %v", err)
+	}
+	text := buf.String()
+	if err := obs.LintExposition(strings.NewReader(text)); err != nil {
+		t.Fatalf("exposition fails lint: %v\n%s", err, text)
+	}
+	for _, want := range []string{
+		`aomp_tenant_admits_total{tenant="_other"} 2` + "\n",
+		`aomp_tenant_queued_total{tenant="_other"} 1` + "\n",
+		`aomp_tenant_rejects_total{tenant="_other"} 2` + "\n",
+		`aomp_tenant_timeouts_total{tenant="_other"} 1` + "\n",
+		`aomp_tenant_admits_total{tenant="t3"} 1` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Fatalf("exposition missing %q:\n%s", want, text)
+		}
+	}
+	for _, absent := range []string{`tenant="far-1"`, `tenant="far-2"`, `tenant="idle"`} {
+		if strings.Contains(text, absent) {
+			t.Fatalf("exposition carries %s, want it folded or omitted:\n%s", absent, text)
+		}
 	}
 }
 

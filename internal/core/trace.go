@@ -12,16 +12,16 @@ import (
 // so the library treats it exactly like its parallelism constructs — a
 // runtime substrate (internal/obs) plus an aspect (TraceSpans) woven like
 // any other. EnableTracing/StartTrace/StopTrace drive the built-in tracer;
-// ReadRuntimeStats aggregates its counters with the hot-team pool's.
+// ReadRuntimeStats is a view over the counter stores (the metrics
+// registry, the pool, admission) plus the tracer's ring accounting.
 
 // EnableTracing installs (or uninstalls) the built-in runtime tracer and
-// returns whether it was previously installed. Enabled, every runtime
-// transition — region forks, team leases, task spawns, steals, barrier
-// waits, dependence releases — feeds the aggregate counters behind
-// ReadRuntimeStats. Event buffering for timeline export additionally needs
-// StartTrace. Disabled (the default), the runtime's emit points cost one
-// atomic load and a predicted branch each, keeping the allocation-free hot
-// paths intact.
+// returns whether it was previously installed. The tracer records events
+// only — region forks, team leases, task spawns, steals, barrier waits,
+// dependence releases — and buffers them while StartTrace is recording;
+// counts come from the metrics registry. Disabled (the default), the
+// runtime's emit points cost one atomic load and a predicted branch each,
+// keeping the allocation-free hot paths intact.
 func EnableTracing(on bool) bool { return obs.EnableTracing(on) }
 
 // TracingEnabled reports whether the built-in tracer is installed.
@@ -37,33 +37,39 @@ func StartTrace() { obs.StartTrace() }
 // slices, and flow arrows from task spawn to task run.
 func StopTrace(w io.Writer) error { return obs.StopTrace(w) }
 
-// RuntimeSnapshot aggregates the observability counters: the tracer's
-// event statistics, the hot-team pool's lease counters, and the
-// multi-tenant admission controller's queue and fairness counters.
+// RuntimeSnapshot is a view over the runtime's counter stores; it owns
+// no counters of its own, and each event is counted in exactly one part.
 type RuntimeSnapshot struct {
-	// Events are the built-in tracer's cumulative counters (zero unless
-	// EnableTracing/StartTrace installed it).
-	Events obs.Stats
+	// Metrics is the metrics registry snapshot: region entries, barrier
+	// waits, tasks, steals, loop shares and the latency histograms
+	// (zero until EnableMetrics first turned the registry on).
+	Metrics obs.MetricsSnapshot
 	// Pool is the hot-team pool snapshot, always live.
 	Pool rt.PoolStats
-	// Admission is the multi-tenant admission snapshot, always live
-	// (zero-counter when admission control has never been enabled).
+	// Admission is the multi-tenant admission snapshot with its
+	// per-tenant rows, always live (zero-counter when admission control
+	// has never been enabled).
 	Admission rt.AdmissionStats
+	// Events is the built-in tracer's ring accounting: records stored and
+	// dropped, rings allocated, workers folded.
+	Events obs.Stats
 }
 
-// ReadRuntimeStats snapshots the runtime: tracer counters plus pool and
-// admission state.
+// ReadRuntimeStats snapshots the runtime: the metrics registry, pool and
+// admission state, and the tracer's ring accounting.
 func ReadRuntimeStats() RuntimeSnapshot {
 	return RuntimeSnapshot{
-		Events:    obs.ReadStats(),
+		Metrics:   obs.ReadMetrics(),
 		Pool:      rt.ReadPoolStats(),
 		Admission: rt.ReadAdmissionStats(),
+		Events:    obs.ReadStats(),
 	}
 }
 
 // SetTraceHooks installs a custom tool's hook table in place of (or
 // alongside the absence of) the built-in tracer — the OMPT analogue of
-// tool registration. nil uninstalls; the previous table is returned.
+// tool registration. nil uninstalls; the previous table (a custom one or
+// the built-in tracer's) is returned, so it can be put back.
 func SetTraceHooks(h *obs.Hooks) *obs.Hooks { return obs.SetHooks(h) }
 
 // PrecTrace places span advice just inside the parallel region, so a span

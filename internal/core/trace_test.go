@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"aomplib/internal/obs"
 	"aomplib/internal/weaver"
 )
 
@@ -68,10 +69,11 @@ func countSpans(t *testing.T, data []byte, name string) int {
 	return n
 }
 
-// ReadRuntimeStats aggregates tracer counters with pool counters.
+// ReadRuntimeStats is a view over the metrics registry and the pool
+// counters: one region entry advances both.
 func TestRuntimeSnapshotAggregates(t *testing.T) {
-	EnableTracing(true)
-	defer EnableTracing(false)
+	prev := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prev)
 	before := ReadRuntimeStats()
 	p := weaver.NewProgram("t")
 	region := p.Class("Demo").Proc("run", func() {})
@@ -79,9 +81,9 @@ func TestRuntimeSnapshotAggregates(t *testing.T) {
 	p.MustWeave()
 	region()
 	st := ReadRuntimeStats()
-	if st.Events.RegionForks <= before.Events.RegionForks {
-		t.Fatalf("Events.RegionForks did not advance: %d -> %d",
-			before.Events.RegionForks, st.Events.RegionForks)
+	if st.Metrics.RegionEntries <= before.Metrics.RegionEntries {
+		t.Fatalf("Metrics.RegionEntries did not advance: %d -> %d",
+			before.Metrics.RegionEntries, st.Metrics.RegionEntries)
 	}
 	if st.Pool.Leases <= before.Pool.Leases {
 		t.Fatalf("Pool.Leases did not advance: %d -> %d", before.Pool.Leases, st.Pool.Leases)

@@ -76,8 +76,8 @@ type openSpan struct {
 	key     uint64    // task id / span name id that must match (0 = any)
 }
 
-// writeChromeTrace converts drained records to trace JSON. c resolves
-// interned span names and contributes the stats snapshot.
+// writeChromeTrace converts drained records to trace JSON. c contributes
+// its ring accounting.
 func writeChromeTrace(w io.Writer, c *collector, events []Event) error {
 	byTrack := map[WorkerID][]Event{}
 	var maxTs int64
@@ -182,7 +182,7 @@ func writeChromeTrace(w io.Writer, c *collector, events []Event) error {
 			case EvTaskComplete:
 				closeSpan(EvTaskComplete, ev.Task, ev.When)
 			case EvSpanBegin:
-				push(chromeEvent{Name: c.spanName(uint32(ev.Task)), Cat: "span",
+				push(chromeEvent{Name: spanName(uint32(ev.Task)), Cat: "span",
 					Ph: "X", Ts: ts, Pid: chromePid, Tid: tid}, ev.When, EvSpanEnd, ev.Task)
 			case EvSpanEnd:
 				closeSpan(EvSpanEnd, ev.Task, ev.When)

@@ -83,7 +83,7 @@ func TestChromeExportStructure(t *testing.T) {
 	h := c.hooks()
 	c.start()
 
-	spanID := c.intern("Demo.run")
+	spanID := InternName("Demo.run")
 	h.TeamLease(NoWorker, 1, 2, true)
 	h.RegionFork(0, 1, 1, 2)
 	h.ImplicitBegin(0, 1, 1)

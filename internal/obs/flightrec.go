@@ -28,7 +28,8 @@ const flightRingCapacity = 1 << 12
 const defaultFlightWindow = 5 * time.Second
 
 // flightRecorder owns a private collector (its rings never mix with the
-// tracer's) plus the trigger and trimmer state.
+// tracer's; span names resolve against the shared intern table) plus the
+// trigger and trimmer state.
 type flightRecorder struct {
 	col *collector
 
@@ -90,10 +91,11 @@ func (f *flightRecorder) trigger(why string) {
 
 // hooks wraps the private collector's recording hooks with the trigger
 // probes: region fork/join pairing for the latency trigger and a per-second
-// reject counter for the spike trigger.
+// reject counter for the spike trigger (the collector records no
+// admission events, so AdmitReject is the probe alone).
 func (f *flightRecorder) hooks() *Hooks {
 	h := f.col.hooks()
-	baseFork, baseJoin, baseReject := h.RegionFork, h.RegionJoin, h.AdmitReject
+	baseFork, baseJoin := h.RegionFork, h.RegionJoin
 	h.RegionFork = func(master WorkerID, team uint64, level, size int) {
 		baseFork(master, team, level, size)
 		if f.latThreshNs.Load() > 0 {
@@ -111,9 +113,6 @@ func (f *flightRecorder) hooks() *Hooks {
 		}
 	}
 	h.AdmitReject = func(tenant uint64, reason AdmitReason) {
-		if baseReject != nil {
-			baseReject(tenant, reason)
-		}
 		spike := f.rejectSpike.Load()
 		if spike <= 0 {
 			return

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -196,5 +197,45 @@ func TestFlightWindowTrimsOldEvents(t *testing.T) {
 	snap := f.snapshotWindow()
 	if len(snap) != 1 || snap[0].Task != 2 {
 		t.Fatalf("window kept stale events: %+v", snap)
+	}
+}
+
+// Spans recorded by the flight recorder must export under the name the
+// weaver interned, not a placeholder: the recorder and the tracer resolve
+// span ids against one table.
+func TestFlightSnapshotSpanNames(t *testing.T) {
+	if FlightEnabled() {
+		t.Fatal("flight recorder unexpectedly enabled at test start")
+	}
+	EnableFlight(true)
+	defer EnableFlight(false)
+	WriteFlightSnapshot(io.Discard) // consume any capture a trigger left behind
+
+	id := InternName("FlightDemo.run")
+	h := Active()
+	h.SpanBegin(0, id)
+	h.SpanEnd(0, id)
+
+	var buf bytes.Buffer
+	if _, err := WriteFlightSnapshot(&buf); err != nil {
+		t.Fatalf("WriteFlightSnapshot: %v", err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Cat  string `json:"cat"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &trace); err != nil {
+		t.Fatalf("flight snapshot is not valid JSON: %v", err)
+	}
+	var spans []string
+	for _, ev := range trace.TraceEvents {
+		if ev.Cat == "span" {
+			spans = append(spans, ev.Name)
+		}
+	}
+	if len(spans) != 1 || spans[0] != "FlightDemo.run" {
+		t.Fatalf("flight snapshot spans = %q, want [FlightDemo.run]", spans)
 	}
 }

@@ -26,7 +26,6 @@ func drive(h *Hooks, w WorkerID, tn uint64, base uint64) {
 	h.BarrierDepart(w, base+1, 1500)
 	h.WorkBegin(w, base+1, 1)
 	h.AdmitGrant(tn, 700)
-	h.AdmitReject(tn, AdmitReasonTimeout)
 }
 
 // Merged snapshots must not depend on which worker (and thus which shard)
@@ -34,9 +33,6 @@ func drive(h *Hooks, w WorkerID, tn uint64, base uint64) {
 // spawn latencies are wall-clock deltas, so only their counts are
 // compared; every other field must match bit for bit.
 func TestMetricsShardMergeDeterminism(t *testing.T) {
-	RegisterTenant(0, "det-t0")
-	RegisterTenant(1, "det-t1")
-	RegisterTenant(2, "det-t2")
 	spreads := [][]WorkerID{
 		{0, 0, 0, 0, 0, 0},        // all on one shard
 		{0, 1, 2, 3, 4, 5},        // spread across shards
@@ -166,12 +162,8 @@ func TestMetricsConcurrentRecordVsSnapshot(t *testing.T) {
 	if s.BarrierWait.Count != total {
 		t.Fatalf("barrier histogram count = %d, want %d", s.BarrierWait.Count, total)
 	}
-	var admits uint64
-	for _, tn := range s.Tenants {
-		admits += tn.Admits
-	}
-	if admits != total {
-		t.Fatalf("tenant admits sum = %d, want %d", admits, total)
+	if s.AdmitWait.Count != total {
+		t.Fatalf("admission wait histogram count = %d, want %d", s.AdmitWait.Count, total)
 	}
 }
 
@@ -197,25 +189,6 @@ func TestPairTableLossyPairing(t *testing.T) {
 	}
 }
 
-// Tenant ids beyond the table bound must aggregate on the overflow row.
-func TestTenantOverflowRow(t *testing.T) {
-	m := newMetricsRegistry(2)
-	h := m.hooks()
-	h.AdmitGrant(3, 0)
-	h.AdmitGrant(maxMetricTenants+7, 0)
-	h.AdmitGrant(maxMetricTenants+900, 0)
-	s := m.snapshot()
-	var other *TenantMetrics
-	for i := range s.Tenants {
-		if s.Tenants[i].Name == "_other" {
-			other = &s.Tenants[i]
-		}
-	}
-	if other == nil || other.Admits != 2 {
-		t.Fatalf("overflow row missing or wrong: %+v", s.Tenants)
-	}
-}
-
 // The registry's own exposition must satisfy its own strict lint, and
 // counters must round-trip: values written are values parsed.
 func TestExpositionRoundTrip(t *testing.T) {
@@ -225,7 +198,6 @@ func TestExpositionRoundTrip(t *testing.T) {
 	h := metricsHooks
 	installMu.Unlock()
 
-	RegisterTenant(242, "roundtrip-tenant")
 	h.RegionFork(1, 777001, 0, 4)
 	h.RegionJoin(1, 777001, 0)
 	h.AdmitGrant(242, 900)
@@ -243,7 +215,7 @@ func TestExpositionRoundTrip(t *testing.T) {
 	}
 	for _, want := range []string{
 		"aomp_region_entries_total ",
-		`aomp_tenant_admits_total{tenant="roundtrip-tenant"} `,
+		"aomp_admission_wait_seconds_count ",
 		`aomp_region_latency_seconds_bucket{le="+Inf"} `,
 		"aomp_region_latency_seconds_count ",
 		"aomp_roundtrip_gauge 12.5",

@@ -131,8 +131,8 @@ func TestCollectorRoutingAndReset(t *testing.T) {
 	h.TaskCreate(3, 1, TaskDeferred)
 	h.TaskCreate(7, 2, TaskDeferred)
 	h.TaskCreate(NoWorker, 3, TaskDeferred)
-	if got := c.stats().TasksSpawned; got != 3 {
-		t.Fatalf("TasksSpawned = %d, want 3", got)
+	if got := c.stats().EventsRecorded; got != 3 {
+		t.Fatalf("EventsRecorded = %d, want 3", got)
 	}
 	evs := c.stop()
 	if len(evs) != 3 {
@@ -221,18 +221,17 @@ func TestStatsRingAccounting(t *testing.T) {
 }
 
 func TestInternNameStable(t *testing.T) {
-	c := newCollector(8, 128)
-	a, b := c.intern("Demo.run"), c.intern("Demo.loop")
+	a, b := InternName("Demo.run"), InternName("Demo.loop")
 	if a == b {
 		t.Fatal("distinct names share an id")
 	}
-	if c.intern("Demo.run") != a {
+	if InternName("Demo.run") != a {
 		t.Fatal("intern is not idempotent")
 	}
-	if c.spanName(a) != "Demo.run" || c.spanName(b) != "Demo.loop" {
-		t.Fatalf("spanName round-trip failed: %q %q", c.spanName(a), c.spanName(b))
+	if spanName(a) != "Demo.run" || spanName(b) != "Demo.loop" {
+		t.Fatalf("spanName round-trip failed: %q %q", spanName(a), spanName(b))
 	}
-	if c.spanName(999) == "" {
+	if spanName(1<<31) == "" {
 		t.Fatal("unknown id must resolve to a placeholder, not empty")
 	}
 }

@@ -8,41 +8,11 @@ import (
 	"time"
 )
 
-// Stats is the aggregate runtime counter snapshot of the built-in tracer.
-// Counters accumulate while tracing is enabled (EnableTracing/StartTrace)
-// and are cumulative across traces; they do not require a recording trace,
-// so long-running servers can watch steal and barrier pressure without
-// paying for event buffering.
+// Stats is the built-in tracer's ring accounting. The tracer only
+// records events; every runtime counter lives in the metrics registry
+// (ReadMetrics) or in rt's pool and admission counters, so these fields
+// describe the event buffers themselves and nothing else.
 type Stats struct {
-	RegionForks   uint64 // parallel region entries observed
-	RegionJoins   uint64 // parallel region joins observed
-	TeamLeases    uint64 // team acquisitions observed
-	TeamLeaseHits uint64 // leases served by the hot-team pool
-	TeamRetires   uint64 // teams destroyed while observed
-
-	TasksSpawned   uint64 // tasks queued on deques or parked on dependences
-	TasksInlined   uint64 // tasks run outside the deques (own goroutine)
-	TasksCompleted uint64 // task executions finished
-
-	StealAttempts uint64 // empty-deque probes of sibling deques
-	Steals        uint64 // probes that took a task
-	StealProbes   uint64 // sibling slots examined by loop-range steal scans
-
-	BarrierWaits  uint64 // barrier passages observed
-	BarrierWaitNs uint64 // total nanoseconds spent blocked in barriers
-
-	DepReleases uint64 // parked dependent tasks released to deques
-
-	// Multi-tenant admission counters (rt server mode). Counter-only, like
-	// StealAttempts: admission events happen on the entering goroutine
-	// outside any worker context, so they carry no timeline value — the
-	// queue-side picture lives in rt.AdmissionStats.
-	AdmitGrants   uint64 // team leases granted (fast-path and after queueing)
-	AdmitQueued   uint64 // grants that waited in the admission queue first
-	AdmitWaitNs   uint64 // total nanoseconds spent queued for admission
-	AdmitRejects  uint64 // lease requests refused (policy, full queue, timeout)
-	AdmitTimeouts uint64 // refusals specifically due to a queue-wait timeout
-
 	EventsRecorded uint64 // records stored in trace ring buffers
 	EventsDropped  uint64 // records dropped since the last StartTrace reset
 
@@ -61,34 +31,19 @@ type Stats struct {
 	WorkersFolded int
 }
 
-// counters is the atomic backing of Stats.
-type counters struct {
-	regionForks, regionJoins          atomic.Uint64
-	teamLeases, teamHits, teamRetires atomic.Uint64
-	tasksSpawned, tasksInlined        atomic.Uint64
-	tasksCompleted                    atomic.Uint64
-	stealAttempts, steals             atomic.Uint64
-	stealProbes                       atomic.Uint64
-	barrierWaits, barrierWaitNs       atomic.Uint64
-	depReleases                       atomic.Uint64
-	admitGrants, admitQueued          atomic.Uint64
-	admitWaitNs                       atomic.Uint64
-	admitRejects, admitTimeouts       atomic.Uint64
-	recorded                          atomic.Uint64
-}
-
 // DefaultRingCapacity is the per-worker event buffer capacity (records,
 // not bytes) used unless SetRingCapacity overrides it. At 48 bytes per
 // record a full buffer is under 800 KiB per worker.
 const DefaultRingCapacity = 1 << 14
 
-// collector is the built-in tracer: per-worker rings plus counters. The
-// package-level singleton serves the public API; tests build private
-// instances and drive the hook methods directly.
+// collector is the built-in tracer: per-worker event rings. The
+// package-level singleton serves the public API, the flight recorder owns
+// a second one; tests build private instances and drive the hook methods
+// directly.
 type collector struct {
-	c         counters
 	recording atomic.Bool
-	epoch     atomic.Int64 // trace start, ns reading of the monotonic clock
+	recorded  atomic.Uint64 // records stored, across every trace
+	epoch     atomic.Int64  // trace start, ns reading of the monotonic clock
 
 	// rings is indexed by WorkerID+1 (index 0 is the shared ring for
 	// NoWorker emits). The slice is copy-on-write: the hot path is one
@@ -111,35 +66,13 @@ type collector struct {
 	// workers shared rings.
 	droppedCum atomic.Uint64
 	foldedMax  atomic.Int64
-
-	// rates holds the per-worker throughput counters behind
-	// ReadWorkerRates, indexed and folded exactly like rings (WorkerID+1,
-	// modulo the bound). Allocated eagerly — one padded line per slot is a
-	// few KiB — so the emit path is a pure index, no growth branch.
-	rates []rateSlot
-
-	// names interns user-span labels; ids index list.
-	namesMu sync.RWMutex
-	byName  map[string]uint32
-	names   []string
-}
-
-// rateSlot is one worker's cumulative loop-rate counters, alone on a cache
-// line: each worker adds to its own slot at loop-share end, and sharing
-// lines would turn independent workers into false-sharing partners.
-type rateSlot struct {
-	iters  atomic.Int64
-	workNs atomic.Int64
-	probes atomic.Int64
-	_      [40]byte
 }
 
 func newCollector(ringCap, maxRings int) *collector {
 	if maxRings < 2 {
 		maxRings = 2
 	}
-	c := &collector{ringCap: ringCap, maxRings: maxRings, byName: map[string]uint32{}}
-	c.rates = make([]rateSlot, maxRings)
+	c := &collector{ringCap: ringCap, maxRings: maxRings}
 	c.rings.Store(&[]*ring{})
 	return c
 }
@@ -203,18 +136,6 @@ func (c *collector) ring(w WorkerID) *ring {
 	return grown[idx]
 }
 
-// rate returns the per-worker rate slot for w, folded like ring indices.
-func (c *collector) rate(w WorkerID) *rateSlot {
-	idx := int(w) + 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(c.rates) {
-		idx = 1 + (idx-1)%(len(c.rates)-1)
-	}
-	return &c.rates[idx]
-}
-
 // record appends one event if a trace is recording.
 func (c *collector) record(w WorkerID, ev Event) {
 	if !c.recording.Load() {
@@ -223,7 +144,7 @@ func (c *collector) record(w WorkerID, ev Event) {
 	ev.When = c.now()
 	ev.Worker = w
 	if c.ring(w).append(ev) {
-		c.c.recorded.Add(1)
+		c.recorded.Add(1)
 	}
 }
 
@@ -251,7 +172,7 @@ func (c *collector) stop() []Event {
 	return out
 }
 
-// stats snapshots the counters.
+// stats snapshots the ring accounting.
 func (c *collector) stats() Stats {
 	var dropped uint64
 	rings := *c.rings.Load()
@@ -266,70 +187,63 @@ func (c *collector) stats() Stats {
 		RingDrops:      c.droppedCum.Load() + dropped,
 		TraceRings:     len(rings),
 		WorkersFolded:  folded,
-		RegionForks:    c.c.regionForks.Load(),
-		RegionJoins:    c.c.regionJoins.Load(),
-		TeamLeases:     c.c.teamLeases.Load(),
-		TeamLeaseHits:  c.c.teamHits.Load(),
-		TeamRetires:    c.c.teamRetires.Load(),
-		TasksSpawned:   c.c.tasksSpawned.Load(),
-		TasksInlined:   c.c.tasksInlined.Load(),
-		TasksCompleted: c.c.tasksCompleted.Load(),
-		StealAttempts:  c.c.stealAttempts.Load(),
-		Steals:         c.c.steals.Load(),
-		StealProbes:    c.c.stealProbes.Load(),
-		BarrierWaits:   c.c.barrierWaits.Load(),
-		BarrierWaitNs:  c.c.barrierWaitNs.Load(),
-		DepReleases:    c.c.depReleases.Load(),
-		AdmitGrants:    c.c.admitGrants.Load(),
-		AdmitQueued:    c.c.admitQueued.Load(),
-		AdmitWaitNs:    c.c.admitWaitNs.Load(),
-		AdmitRejects:   c.c.admitRejects.Load(),
-		AdmitTimeouts:  c.c.admitTimeouts.Load(),
-		EventsRecorded: c.c.recorded.Load(),
+		EventsRecorded: c.recorded.Load(),
 		EventsDropped:  dropped,
 	}
 }
 
-// intern returns the stable id of a span name, assigning one on first use.
-func (c *collector) intern(name string) uint32 {
-	c.namesMu.RLock()
-	id, ok := c.byName[name]
-	c.namesMu.RUnlock()
+// spanNames interns user-span labels for every collector — the tracer
+// and the flight recorder resolve ids against the same table, so a span
+// exported from either carries its name. ids index list.
+var spanNames = struct {
+	mu     sync.RWMutex
+	byName map[string]uint32
+	list   []string
+}{byName: map[string]uint32{}}
+
+// InternName returns the stable id user spans are filed under, assigning
+// one on first use — aspects intern their joinpoint names once at weave
+// time and emit the id, keeping the emit path free of string handling.
+// The tracer and the flight recorder resolve ids against the same table.
+func InternName(name string) uint32 {
+	spanNames.mu.RLock()
+	id, ok := spanNames.byName[name]
+	spanNames.mu.RUnlock()
 	if ok {
 		return id
 	}
-	c.namesMu.Lock()
-	defer c.namesMu.Unlock()
-	if id, ok := c.byName[name]; ok {
+	spanNames.mu.Lock()
+	defer spanNames.mu.Unlock()
+	if id, ok := spanNames.byName[name]; ok {
 		return id
 	}
-	id = uint32(len(c.names))
-	c.names = append(c.names, name)
-	c.byName[name] = id
+	id = uint32(len(spanNames.list))
+	spanNames.list = append(spanNames.list, name)
+	spanNames.byName[name] = id
 	return id
 }
 
 // spanName resolves an interned id (drain side).
-func (c *collector) spanName(id uint32) string {
-	c.namesMu.RLock()
-	defer c.namesMu.RUnlock()
-	if int(id) < len(c.names) {
-		return c.names[id]
+func spanName(id uint32) string {
+	spanNames.mu.RLock()
+	defer spanNames.mu.RUnlock()
+	if int(id) < len(spanNames.list) {
+		return spanNames.list[id]
 	}
 	return "span"
 }
 
 // hooks builds the collector's hook table. Every callback is a bound
 // method value created once here, so installing the tracer allocates only
-// at EnableTracing time, never on the emit path.
+// at EnableTracing time, never on the emit path. Events without timeline
+// value — steal probes and scans, admission outcomes — have no entry: the
+// metrics registry and rt's admission table count them.
 func (c *collector) hooks() *Hooks {
 	return &Hooks{
 		RegionFork: func(master WorkerID, team uint64, level, size int) {
-			c.c.regionForks.Add(1)
 			c.record(master, Event{Kind: EvRegionFork, Team: team, Arg: uint64(size), Level: uint8(level)})
 		},
 		RegionJoin: func(master WorkerID, team uint64, level int) {
-			c.c.regionJoins.Add(1)
 			c.record(master, Event{Kind: EvRegionJoin, Team: team, Level: uint8(level)})
 		},
 		ImplicitBegin: func(w WorkerID, team uint64, level int) {
@@ -339,79 +253,37 @@ func (c *collector) hooks() *Hooks {
 			c.record(w, Event{Kind: EvImplicitEnd, Team: team})
 		},
 		TeamLease: func(w WorkerID, team uint64, size int, hit bool) {
-			c.c.teamLeases.Add(1)
 			var h uint64
 			if hit {
 				h = 1
-				c.c.teamHits.Add(1)
 			}
 			c.record(w, Event{Kind: EvTeamLease, Team: team, Arg: h<<32 | uint64(uint32(size))})
 		},
 		TeamRetire: func(team uint64, size int) {
-			c.c.teamRetires.Add(1)
 			c.record(NoWorker, Event{Kind: EvTeamRetire, Team: team, Arg: uint64(size)})
 		},
 		TaskCreate: func(w WorkerID, task uint64, kind TaskKind) {
-			c.c.tasksSpawned.Add(1)
 			c.record(w, Event{Kind: EvTaskCreate, Task: task, Arg: uint64(kind)})
 		},
 		TaskSchedule: func(w WorkerID, task uint64) {
 			c.record(w, Event{Kind: EvTaskSchedule, Task: task})
 		},
 		TaskComplete: func(w WorkerID, task uint64) {
-			c.c.tasksCompleted.Add(1)
 			c.record(w, Event{Kind: EvTaskComplete, Task: task})
 		},
 		TaskInline: func(w WorkerID, task uint64) {
-			c.c.tasksInlined.Add(1)
 			c.record(w, Event{Kind: EvTaskInline, Task: task})
 		},
-		StealAttempt: func(w WorkerID) {
-			// Counter only: idle workers probe in a helping loop, and one
-			// instant per probe would flood the rings with no timeline value.
-			c.c.stealAttempts.Add(1)
-		},
 		StealSuccess: func(w WorkerID, task uint64, victim WorkerID) {
-			c.c.steals.Add(1)
 			c.record(w, Event{Kind: EvStealSuccess, Task: task, Arg: uint64(uint32(victim))})
 		},
-		StealScan: func(w WorkerID, probes int) {
-			// Counter only, like StealAttempt: scan lengths aggregate, they
-			// are not timeline moments.
-			c.c.stealProbes.Add(uint64(probes))
-			c.rate(w).probes.Add(int64(probes))
-		},
-		LoopRate: func(w WorkerID, iters, elapsedNs int64) {
-			r := c.rate(w)
-			r.iters.Add(iters)
-			r.workNs.Add(elapsedNs)
-		},
 		BarrierArrive: func(w WorkerID, team uint64) {
-			c.c.barrierWaits.Add(1)
 			c.record(w, Event{Kind: EvBarrierArrive, Team: team})
 		},
 		BarrierDepart: func(w WorkerID, team uint64, waitNs int64) {
-			c.c.barrierWaitNs.Add(uint64(waitNs))
 			c.record(w, Event{Kind: EvBarrierDepart, Team: team, Arg: uint64(waitNs)})
 		},
-		// AdmitEnqueue stays nil: the enqueue is implied by AdmitGrant's
-		// waitNs>0 or by AdmitReject, and depth snapshots live in
-		// rt.AdmissionStats.
-		AdmitGrant: func(tenant uint64, waitNs int64) {
-			c.c.admitGrants.Add(1)
-			if waitNs > 0 {
-				c.c.admitQueued.Add(1)
-				c.c.admitWaitNs.Add(uint64(waitNs))
-			}
-		},
-		AdmitReject: func(tenant uint64, reason AdmitReason) {
-			c.c.admitRejects.Add(1)
-			if reason == AdmitReasonTimeout {
-				c.c.admitTimeouts.Add(1)
-			}
-		},
 		DepRelease: func(w WorkerID, task uint64) {
-			c.c.depReleases.Add(1)
 			c.record(w, Event{Kind: EvDepRelease, Task: task})
 		},
 		WorkBegin: func(w WorkerID, team uint64, kind uint8) {
@@ -432,18 +304,19 @@ func (c *collector) hooks() *Hooks {
 // ------------------------------------------------------------ public API --
 
 // tracer is the process-wide built-in collector behind EnableTracing,
-// StartTrace, StopTrace, ReadStats and InternName.
+// StartTrace, StopTrace and ReadStats.
 var (
 	tracer      = newCollector(DefaultRingCapacity, defaultMaxRings())
 	tracerHooks *Hooks
 )
 
 // EnableTracing installs (or uninstalls) the built-in tracer in the tool
-// slot and returns whether it was previously installed. Enabling starts
-// the aggregate counters; event buffering additionally needs StartTrace.
-// Enabling replaces a custom tool installed with SetHooks (they share the
-// tool slot), but composes with the metrics registry and the flight
-// recorder. Disabling leaves a custom tool untouched.
+// slot and returns whether it was previously installed. The tracer keeps
+// no counters (those live in the metrics registry); installed, it buffers
+// events only while StartTrace is recording. Enabling replaces a custom
+// tool installed with SetHooks (they share the tool slot), but composes
+// with the metrics registry and the flight recorder. Disabling leaves a
+// custom tool untouched.
 func EnableTracing(on bool) bool {
 	installMu.Lock()
 	defer installMu.Unlock()
@@ -481,60 +354,16 @@ func StartTrace() {
 
 // StopTrace ends the recording started by StartTrace, drains the ring
 // buffers and writes the trace as Chrome trace-event JSON to w (load it at
-// ui.perfetto.dev or chrome://tracing). Aggregate counters keep running;
-// use EnableTracing(false) to uninstall the tracer entirely. Without a
+// ui.perfetto.dev or chrome://tracing). The tracer stays installed; use
+// EnableTracing(false) to uninstall it entirely. Without a
 // prior StartTrace it writes a valid empty trace.
 func StopTrace(w io.Writer) error {
 	events := tracer.stop()
 	return writeChromeTrace(w, tracer, events)
 }
 
-// ReadStats snapshots the built-in tracer's aggregate counters.
+// ReadStats snapshots the built-in tracer's ring accounting.
 func ReadStats() Stats { return tracer.stats() }
-
-// WorkerRate is one worker's cumulative loop-throughput counters: the
-// iterations it executed inside for constructs, the nanoseconds those
-// shares took, and the sibling slots it probed while stealing loop
-// ranges. Iters/WorkNs is the worker's observed speed; a worker whose
-// ratio trails its siblings' is the asymmetric (throttled, contended,
-// or simply slower) one, and StealProbes/steals gauges how hard its
-// victim selection worked.
-type WorkerRate struct {
-	Worker      WorkerID
-	Iters       int64
-	WorkNs      int64
-	StealProbes int64
-}
-
-// ReadWorkerRates snapshots the built-in tracer's per-worker rate
-// counters without draining or pausing a trace — they are plain padded
-// atomics fed by the LoopRate/StealScan hooks, so the read is safe from
-// any goroutine at any time. Slots that never counted are omitted.
-// Workers beyond the tracer's ring bound fold onto shared slots (like
-// trace rings); a folded slot reports the lowest WorkerID that maps to
-// it. Counters accumulate while tracing is enabled and reset never —
-// callers diff snapshots for interval rates.
-func ReadWorkerRates() []WorkerRate {
-	out := make([]WorkerRate, 0, len(tracer.rates))
-	for i := range tracer.rates {
-		r := &tracer.rates[i]
-		wr := WorkerRate{
-			Worker:      WorkerID(i - 1),
-			Iters:       r.iters.Load(),
-			WorkNs:      r.workNs.Load(),
-			StealProbes: r.probes.Load(),
-		}
-		if wr.Iters != 0 || wr.WorkNs != 0 || wr.StealProbes != 0 {
-			out = append(out, wr)
-		}
-	}
-	return out
-}
-
-// InternName returns the stable id the built-in tracer files user spans
-// under — aspects intern their joinpoint names once at weave time and emit
-// the id, keeping the emit path free of string handling.
-func InternName(name string) uint32 { return tracer.intern(name) }
 
 // SetRingCapacity sets the per-worker event buffer capacity (records,
 // rounded up to a power of two) for rings created after the call, and

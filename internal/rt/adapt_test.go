@@ -344,30 +344,33 @@ func TestAsymSpinDelay(t *testing.T) {
 	}
 }
 
-// TestWorkerRatesAndStealProbes pins the observability satellites: a
-// steal-scheduled loop feeds the per-worker rate counters (iterations
-// and work time via LoopRate) and the probes-per-steal counter, visible
-// through both obs.ReadWorkerRates and obs.Stats.StealProbes.
+// TestWorkerRatesAndStealProbes pins the loop observability the metrics
+// registry carries: a weighted-steal loop must record steal-scan probes
+// and one loop share per worker under its schedule kind.
 func TestWorkerRatesAndStealProbes(t *testing.T) {
 	defer resetPool(t)()
-	obs.EnableTracing(true)
-	defer obs.EnableTracing(false)
-	before := obs.ReadStats()
+	prev := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prev)
+	shares := func(s obs.MetricsSnapshot) uint64 {
+		for _, sc := range s.LoopShares {
+			if sc.Schedule == sched.WeightedSteal.String() {
+				return sc.Shares
+			}
+		}
+		return 0
+	}
+	before := obs.ReadMetrics()
 	const n = 4096
 	hits := make([]int32, n)
 	ptr := &hits
 	Region(4, func(w *Worker) {
 		ForSpan(w, sched.Space{Lo: 0, Hi: n, Step: 1}, sched.WeightedSteal, "rates-loop", 4, countSpan, ptr)
 	})
-	after := obs.ReadStats()
+	after := obs.ReadMetrics()
 	if after.StealProbes == before.StealProbes {
 		t.Error("weighted steal loop recorded no steal probes")
 	}
-	var iters int64
-	for _, r := range obs.ReadWorkerRates() {
-		iters += r.Iters
-	}
-	if iters < n {
-		t.Errorf("worker rates account for %d iterations, want at least %d", iters, n)
+	if got := shares(after) - shares(before); got != 4 {
+		t.Errorf("weighted steal loop recorded %d loop shares, want 4 (one per worker)", got)
 	}
 }

@@ -159,9 +159,6 @@ func (c *admitController) tenantFor(name string) *tenantState {
 	if t == nil {
 		t = &tenantState{name: name, id: c.tenantIDs.Add(1)}
 		c.tenants[name] = t
-		// Let the metrics registry label this tenant's counter row by
-		// name; cold path, once per tenant.
-		obs.RegisterTenant(t.id, name)
 	}
 	return t
 }

@@ -11,10 +11,14 @@ import (
 	"aomplib/internal/obs"
 )
 
-// A region exercising every construct must light up the corresponding
-// tracer counters, and the drained trace must be valid Chrome JSON.
+// A region exercising every construct must light up the counter stores —
+// the metrics registry and the pool — and the drained trace must be valid
+// Chrome JSON carrying the events no store counts: region joins, inline
+// tasks and dependence releases.
 func TestObsEmitCoverage(t *testing.T) {
-	before := obs.ReadStats()
+	prevM := obs.EnableMetrics(true)
+	defer obs.EnableMetrics(prevM)
+	before, poolBefore, ringBefore := obs.ReadMetrics(), ReadPoolStats(), obs.ReadStats()
 	obs.StartTrace()
 	defer obs.EnableTracing(false)
 
@@ -35,24 +39,20 @@ func TestObsEmitCoverage(t *testing.T) {
 	Spawn(func() { close(done) })
 	<-done
 
-	st := obs.ReadStats()
-	delta := func(name string, now, then uint64) uint64 {
+	m, pool, ring := obs.ReadMetrics(), ReadPoolStats(), obs.ReadStats()
+	advanced := func(name string, now, then uint64) {
 		t.Helper()
 		if now <= then {
 			t.Errorf("%s did not advance: %d -> %d", name, then, now)
 		}
-		return now - then
 	}
-	delta("RegionForks", st.RegionForks, before.RegionForks)
-	delta("RegionJoins", st.RegionJoins, before.RegionJoins)
-	delta("TeamLeases", st.TeamLeases, before.TeamLeases)
-	delta("TasksSpawned", st.TasksSpawned, before.TasksSpawned)
-	delta("TasksCompleted", st.TasksCompleted, before.TasksCompleted)
-	delta("TasksInlined", st.TasksInlined, before.TasksInlined)
-	delta("BarrierWaits", st.BarrierWaits, before.BarrierWaits)
-	delta("DepReleases", st.DepReleases, before.DepReleases)
-	delta("StealAttempts", st.StealAttempts, before.StealAttempts)
-	delta("EventsRecorded", st.EventsRecorded, before.EventsRecorded)
+	advanced("RegionEntries", m.RegionEntries, before.RegionEntries)
+	advanced("Pool.Leases", pool.Leases, poolBefore.Leases)
+	advanced("TasksSpawned", m.TasksSpawned, before.TasksSpawned)
+	advanced("TasksCompleted", m.TasksCompleted, before.TasksCompleted)
+	advanced("BarrierWaits", m.BarrierWaits, before.BarrierWaits)
+	advanced("StealAttempts", m.StealAttempts, before.StealAttempts)
+	advanced("EventsRecorded", ring.EventsRecorded, ringBefore.EventsRecorded)
 
 	var buf bytes.Buffer
 	if err := obs.StopTrace(&buf); err != nil {
@@ -68,8 +68,11 @@ func TestObsEmitCoverage(t *testing.T) {
 		t.Fatal("trace is empty")
 	}
 	tracks := 0
+	kinds := map[string]int{}
 	for _, ev := range trace.TraceEvents {
-		if ev["name"] == "thread_name" {
+		name, _ := ev["name"].(string)
+		kinds[name]++
+		if name == "thread_name" {
 			if args, ok := ev["args"].(map[string]any); ok {
 				if n, _ := args["name"].(string); strings.HasPrefix(n, "worker ") {
 					tracks++
@@ -79,6 +82,11 @@ func TestObsEmitCoverage(t *testing.T) {
 	}
 	if tracks < 4 {
 		t.Fatalf("trace has %d worker tracks, want >= 4 (one per team worker)", tracks)
+	}
+	for _, kind := range []string{"region join", "inline task", "dep release"} {
+		if kinds[kind] == 0 {
+			t.Errorf("trace has no %q event", kind)
+		}
 	}
 }
 
@@ -212,28 +220,6 @@ func BenchmarkTaskSpawnWaitMetrics(b *testing.B) {
 		b.StopTimer()
 		_ = x
 	})
-}
-
-// Per-tenant metric rows must carry the tenant names the admission
-// controller registered, so exposition labels and dashboards are
-// name-addressed rather than id-addressed.
-func TestMetricsTenantRegistration(t *testing.T) {
-	prevM := obs.EnableMetrics(true)
-	defer obs.EnableMetrics(prevM)
-	prevAdm := SetAdmissionControl(true)
-	defer SetAdmissionControl(prevAdm)
-
-	tok := EnterTenant("metrics-reg-tenant")
-	Region(2, func(w *Worker) {})
-	tok.Exit()
-
-	snap := obs.ReadMetrics()
-	for _, tn := range snap.Tenants {
-		if tn.Name == "metrics-reg-tenant" && tn.Admits > 0 {
-			return
-		}
-	}
-	t.Fatalf("no admitted row named metrics-reg-tenant in %+v", snap.Tenants)
 }
 
 // TestHotTeamTraceDrainRacesRetirement drains the trace (StopTrace →
